@@ -50,7 +50,7 @@ g0, truth0 = generate_sbm(null, seed=5)
 rep0 = certificate_check(g0, truth0)
 print(f"\ninstance at (100, 4, 4): certified={rep0.certified} (lambda_2={rep0.lambda_2:.3f})")
 
-# the deflated eigensolver matches dense LAPACK on the bottom of the spectrum
+# the subset eigensolver matches a full dense eigvalsh on the bottom of the spectrum
 m = signed_adjacency(g).astype(float)
 bottom = smallest_eigenvalues(m, 3)
 dense = np.sort(np.linalg.eigvalsh(m))[:3]

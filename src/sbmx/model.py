@@ -23,6 +23,7 @@ __all__ = [
     "is_balanced",
     "require_labeling",
     "count_edges_between",
+    "degree_split",
     "cut_size",
     "write_graph",
     "parse_graph",
@@ -94,20 +95,13 @@ class Graph:
         self.n = int(n)
         edges.setflags(write=False)
         self.edges = edges
-        # CSR-style neighbor index over both endpoint directions
-        deg = np.zeros(self.n, dtype=np.int64)
-        if edges.size:
-            np.add.at(deg, edges[:, 0], 1)
-            np.add.at(deg, edges[:, 1], 1)
+        # CSR-style neighbor index over both endpoint directions, each
+        # vertex's neighbors in ascending order
+        src = np.concatenate((edges[:, 0], edges[:, 1]))
+        dst = np.concatenate((edges[:, 1], edges[:, 0]))
         indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        nbrs = np.empty(int(indptr[-1]), dtype=np.int64)
-        cursor = indptr[:-1].copy()
-        for u, v in edges:
-            nbrs[cursor[u]] = v
-            cursor[u] += 1
-            nbrs[cursor[v]] = u
-            cursor[v] += 1
+        np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
+        nbrs = dst[np.lexsort((dst, src))]
         indptr.setflags(write=False)
         nbrs.setflags(write=False)
         self._indptr = indptr
@@ -224,6 +218,15 @@ def count_edges_between(g: Graph, S: Iterable[int], T: Iterable[int]) -> int:
     u, v = g.edges[:, 0], g.edges[:, 1]
     hit = (s_mask[u] & t_mask[v]) | (t_mask[u] & s_mask[v])
     return int(np.count_nonzero(hit))
+
+
+def degree_split(g: Graph, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex (within, cross) neighbor counts under a +/-1 labeling."""
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    same = labels[u] == labels[v]
+    within = np.bincount(np.concatenate((u[same], v[same])), minlength=g.n)
+    cross = np.bincount(np.concatenate((u[~same], v[~same])), minlength=g.n)
+    return within, cross
 
 
 def cut_size(g: Graph, labels) -> int:

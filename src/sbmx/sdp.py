@@ -19,13 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh
 
-from .model import Graph, SbmParams, require_labeling
+from .model import Graph, SbmParams, degree_split, require_labeling
 from .seeding import derive_seed
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 __all__ = [
     "ConvergenceError",
@@ -109,25 +112,12 @@ def signed_adjacency(g: Graph) -> np.ndarray:
     return b
 
 
-def _degree_split(g: Graph, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    within = np.zeros(g.n, dtype=np.int64)
-    cross = np.zeros(g.n, dtype=np.int64)
-    if g.m:
-        u, v = g.edges[:, 0], g.edges[:, 1]
-        same = truth[u] == truth[v]
-        np.add.at(within, u[same], 1)
-        np.add.at(within, v[same], 1)
-        np.add.at(cross, u[~same], 1)
-        np.add.at(cross, v[~same], 1)
-    return within, cross
-
-
 def sbm_laplacian(g: Graph, truth) -> np.ndarray:
     """D_within - D_cross - A, in exact integer arithmetic; annihilates truth."""
     arr = require_labeling(truth, g.n)
     if int(arr.sum()) != 0:
         raise ValueError("the planted labeling must be balanced")
-    within, cross = _degree_split(g, arr)
+    within, cross = degree_split(g, arr)
     lap = -adjacency_matrix(g, dtype=np.int64)
     np.fill_diagonal(lap, within - cross)
     return lap
@@ -142,6 +132,14 @@ def certificate_matrix(g: Graph, truth) -> np.ndarray:
     return 2 * sbm_laplacian(g, truth) + np.ones((g.n, g.n), dtype=np.int64)
 
 
+# ARPACK finds k eigenvalues only for k < n; certificate_check falls back to
+# dense eigh on smaller graphs
+_EIGSH_K = 2
+# seed of ARPACK's fixed start vector, so a verdict is a pure function of
+# (graph, truth)
+_START_SEED = 7
+
+
 def certificate_check(
     g: Graph,
     truth,
@@ -154,20 +152,67 @@ def certificate_check(
     certified requires lambda_min >= -tol_psd, lambda_2 > tol_gap, and a
     vanishing residual ||M t||_inf, with tolerances scaled by ||M||_F to the
     eigensolver's accuracy floor.
+
+    M is never formed: degrees, the residual and ||M||_F come from the edge
+    list in O(m), and the bottom spectrum from ARPACK on the operator
+    M + ||M||_F t t^T / n, whose shift lifts the known kernel vector t above
+    the rest of the spectrum (docs/decisions.md derives lambda_min and
+    lambda_2 from its two smallest eigenvalues).
     """
+    # imported on first use: only the certificate needs scipy.sparse, and
+    # loading it adds about 30 ms and 3 MiB to every process
+    from scipy.sparse import csr_array
+
     arr = require_labeling(truth, g.n)
-    m_int = certificate_matrix(g, arr)
-    residual = float(np.max(np.abs(m_int @ arr.astype(np.int64))))
-    mat = m_int.astype(np.float64)
-    fro = float(np.linalg.norm(mat))
-    eig = smallest_eigenvalues(mat, 2)
+    if int(arr.sum()) != 0:
+        raise ValueError("the planted labeling must be balanced")
+    n = g.n
+    t = arr.astype(np.int64)
+    within, cross = degree_split(g, arr)
+    diag = 2 * (within - cross)
+    # the graph's own CSR index is A's sparsity pattern
+    adj = csr_array((np.ones(g._nbrs.size, dtype=np.int64), g._nbrs, g._indptr), shape=(n, n))
+    # M t = 2(D_w - D_c) t - 2 A t, as 1^T t = 0; in exact integers
+    residual = float(np.max(np.abs(diag * t - 2 * (adj @ t))))
+    # off-diagonal entries of M are +/-1, diagonal entries 2(w_i - c_i) + 1
+    fro = math.sqrt(n * (n - 1) + int(np.sum((diag + 1) ** 2)))
+    if n <= _EIGSH_K:
+        vals = smallest_eigenvalues(certificate_matrix(g, arr), _EIGSH_K).values
+        lam_min, lam_2 = float(vals[0]), float(vals[1])
+    else:
+        mu_1, mu_2 = _shifted_bottom_pair(diag, 2 * adj, t, fro)
+        lam_min = min(0.0, mu_1)
+        lam_2 = mu_1 if mu_1 >= 0.0 else min(0.0, mu_2)
     tol_psd = psd_tol_factor * fro
     tol_gap = gap_tol_factor * fro
-    lam_min, lam_2 = float(eig.values[0]), float(eig.values[1])
     certified = (lam_min >= -tol_psd) and (lam_2 > tol_gap) and (residual <= tol_psd)
     return CertificateReport(
         lambda_min=lam_min, lambda_2=lam_2, g_residual=residual, certified=certified
     )
+
+
+def _shifted_bottom_pair(
+    diag: np.ndarray, two_adj: csr_array, t: np.ndarray, fro: float
+) -> tuple[float, float]:
+    """Two smallest eigenvalues of 2(D_w - D_c) - 2A + 11^T + fro * t t^T / n."""
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    n = diag.shape[0]
+    diag = diag.astype(np.float64)
+    two_adj = two_adj.astype(np.float64)
+    t_hat = t / math.sqrt(n)
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        return diag * x - two_adj @ x + x.sum() + (fro * (t_hat @ x)) * t_hat
+
+    op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    v0 = np.random.Generator(np.random.PCG64(_START_SEED)).standard_normal(n)
+    try:
+        vals = eigsh(op, k=_EIGSH_K, which="SA", tol=0, v0=v0, return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
+        raise ConvergenceError(f"ARPACK did not converge on the certificate: {exc}") from exc
+    mu_1, mu_2 = np.sort(vals)
+    return float(mu_1), float(mu_2)
 
 
 def expected_certificate_matrix(params: SbmParams) -> np.ndarray:
@@ -192,82 +237,12 @@ def expected_certificate_matrix(params: SbmParams) -> np.ndarray:
     return mat
 
 
-def _lanczos_round(
-    mat: np.ndarray,
-    deflate: np.ndarray | None,
-    tol_abs: float,
-    seed: int,
-) -> tuple[float, np.ndarray, float]:
-    """One deflated Lanczos run returning the smallest eigenpair.
+def smallest_eigenvalues(mat: np.ndarray, k: int, tol: float = 1e-9) -> EigResult:
+    """k smallest eigenvalues (with multiplicity) of a dense symmetric matrix.
 
-    Full reorthogonalization against both the Krylov basis and the deflation
-    space; the Krylov space may grow to the full deflated dimension, at which
-    point the Ritz values are exact up to rounding.
-    """
-    n = mat.shape[0]
-    n_found = 0 if deflate is None else deflate.shape[1]
-    limit = n - n_found
-    rng = np.random.Generator(np.random.PCG64(seed))
-
-    def project_out(w: np.ndarray) -> np.ndarray:
-        if deflate is not None:
-            w = w - deflate @ (deflate.T @ w)
-        return w
-
-    q = project_out(rng.standard_normal(n))
-    norm = np.linalg.norm(q)
-    attempts = 0
-    while norm < 1e-12 and attempts < 5:
-        q = project_out(rng.standard_normal(n))
-        norm = np.linalg.norm(q)
-        attempts += 1
-    if norm < 1e-12:
-        raise ConvergenceError("could not build a start vector outside the deflation space")
-    q /= norm
-
-    basis = np.empty((n, limit))
-    alphas: list[float] = []
-    betas: list[float] = []
-    basis[:, 0] = q
-    k = 0
-    while True:
-        w = mat @ basis[:, k]
-        w = project_out(w)
-        alphas.append(float(basis[:, k] @ w))
-        w -= alphas[k] * basis[:, k]
-        if k > 0:
-            w -= betas[k - 1] * basis[:, k - 1]
-        # full reorthogonalization, twice for stability
-        for _ in range(2):
-            w -= basis[:, : k + 1] @ (basis[:, : k + 1].T @ w)
-            w = project_out(w)
-        beta = float(np.linalg.norm(w))
-        exhausted = (k + 1 == limit) or (beta < 1e-14 * max(tol_abs, 1e-300))
-        if exhausted or (k + 1) % 8 == 0:
-            vals, vecs = eigh_tridiagonal(np.array(alphas), np.array(betas))
-            pos = int(np.argmin(vals))
-            theta = float(vals[pos])
-            ritz = basis[:, : k + 1] @ vecs[:, pos]
-            ritz /= np.linalg.norm(ritz)
-            res = float(np.linalg.norm(mat @ ritz - theta * ritz))
-            if res <= tol_abs:
-                return theta, ritz, res
-            if exhausted:
-                raise ConvergenceError(
-                    f"Lanczos exhausted its Krylov space with residual {res:.3e} "
-                    f"above tolerance {tol_abs:.3e}"
-                )
-        betas.append(beta)
-        basis[:, k + 1] = w / beta
-        k += 1
-
-
-def smallest_eigenvalues(mat: np.ndarray, k: int, tol: float = 1e-9, seed: int = 7) -> EigResult:
-    """k smallest eigenvalues (with multiplicity) of a symmetric matrix.
-
-    Deflated Lanczos with deterministic seed-derived start vectors. Each
-    accepted eigenpair satisfies ||M v - lambda v||_2 <= tol * ||M||_F;
-    failure to converge raises ConvergenceError rather than returning junk.
+    LAPACK eigh restricted to the bottom k indices. Each returned eigenpair
+    satisfies ||M v - lambda v||_2 <= tol * ||M||_F; a pair that does not
+    raises ConvergenceError rather than returning junk.
     """
     mat = np.asarray(mat, dtype=np.float64)
     n = mat.shape[0]
@@ -277,27 +252,14 @@ def smallest_eigenvalues(mat: np.ndarray, k: int, tol: float = 1e-9, seed: int =
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(mat).max())):
         raise ValueError("matrix must be symmetric")
-    fro = float(np.linalg.norm(mat))
-    if fro == 0.0:
-        return EigResult(np.zeros(k), np.eye(n)[:, :k], np.zeros(k))
-    tol_abs = tol * fro
-    values = []
-    vectors = []
-    residuals = []
-    for round_idx in range(k):
-        deflate = np.column_stack(vectors) if vectors else None
-        theta, vec, res = _lanczos_round(
-            mat, deflate, tol_abs, derive_seed(seed, round_idx)
+    values, vectors = eigh(mat, subset_by_index=[0, k - 1])
+    residuals = np.linalg.norm(mat @ vectors - vectors * values, axis=0)
+    tol_abs = tol * float(np.linalg.norm(mat))
+    if np.any(residuals > tol_abs):
+        raise ConvergenceError(
+            f"eigenpair residual {residuals.max():.3e} above tolerance {tol_abs:.3e}"
         )
-        values.append(theta)
-        vectors.append(vec)
-        residuals.append(res)
-    order = np.argsort(values)
-    return EigResult(
-        np.array(values)[order],
-        np.column_stack(vectors)[:, order],
-        np.array(residuals)[order],
-    )
+    return EigResult(values, vectors, residuals)
 
 
 def _row_normalize(f: np.ndarray) -> np.ndarray:
@@ -325,7 +287,8 @@ def _ascend(b: np.ndarray, f: np.ndarray, config: SdpConfig, fro: float) -> tupl
             f = f.copy()
             f[worst] = -f[worst]
             new_obj = float(np.sum(f * (b @ f)))
-            assert new_obj >= obj - 1e-9 * max(1.0, abs(obj)), "objective decreased"
+            if new_obj < obj - 1e-9 * max(1.0, abs(obj)):
+                raise ConvergenceError(f"objective decreased from {obj} to {new_obj} on a flip")
             obj = new_obj
             iters_left -= 1
             continue
@@ -339,7 +302,8 @@ def _ascend(b: np.ndarray, f: np.ndarray, config: SdpConfig, fro: float) -> tupl
             step *= 0.5
         if not accepted:
             break
-        assert trial_obj >= obj - 1e-9 * max(1.0, abs(obj)), "objective decreased"
+        if trial_obj < obj - 1e-9 * max(1.0, abs(obj)):
+            raise ConvergenceError(f"objective decreased from {obj} to {trial_obj} on a step")
         f, obj = trial, trial_obj
         step *= 1.25
         iters_left -= 1

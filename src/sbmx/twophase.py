@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import Graph, require_labeling
+from .model import Graph, degree_split, require_labeling
 
 __all__ = [
     "SplitConfig",
@@ -154,11 +154,10 @@ def partial_recovery(g1: Graph, oracle: PartialOracle, truth=None) -> np.ndarray
         pos = -np.ones(n, dtype=np.int64)
         pos[kept] = np.arange(kept.size)
         adj = np.zeros((kept.size, kept.size))
-        for u, v in g1.edges:
-            pu, pv = pos[u], pos[v]
-            if pu >= 0 and pv >= 0:
-                adj[pu, pv] = 1.0
-                adj[pv, pu] = 1.0
+        pu, pv = pos[g1.edges[:, 0]], pos[g1.edges[:, 1]]
+        both = (pu >= 0) & (pv >= 0)
+        adj[pu[both], pv[both]] = 1.0
+        adj[pv[both], pu[both]] = 1.0
         m_sub = adj.sum() / 2.0
         centered = adj - (2.0 * m_sub / kept.size**2)
         vals, vecs = np.linalg.eigh(centered)
@@ -193,15 +192,7 @@ def local_improvement(
     arr = require_labeling(labels, g2.n)
     if int(arr.sum()) != 0:
         raise ValueError("local improvement requires balanced labels")
-    own = np.zeros(g2.n, dtype=np.int64)
-    cross = np.zeros(g2.n, dtype=np.int64)
-    if g2.m:
-        u, v = g2.edges[:, 0], g2.edges[:, 1]
-        same = arr[u] == arr[v]
-        np.add.at(own, u[same], 1)
-        np.add.at(own, v[same], 1)
-        np.add.at(cross, u[~same], 1)
-        np.add.at(cross, v[~same], 1)
+    own, cross = degree_split(g2, arr)
     marked = cross > own
     marks_plus = np.flatnonzero(marked & (arr == 1))
     marks_minus = np.flatnonzero(marked & (arr == -1))

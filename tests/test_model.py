@@ -11,6 +11,7 @@ from sbmx.model import (
     agreement,
     count_edges_between,
     cut_size,
+    degree_split,
     generate_sbm,
     is_balanced,
     parse_graph,
@@ -162,6 +163,24 @@ class TestCounting:
         assert cross + within_plus + within_minus == g.m
         assert cross == cut_size(g, labels) == cut_size(g, -labels)
 
+    @given(st.integers(0, 2**16))
+    @settings(max_examples=25, deadline=None)
+    def test_degree_split_matches_loop(self, seed):
+        g, labels = generate_sbm(SbmParams(20, 4, 2), seed)
+        within = np.zeros(g.n, dtype=np.int64)
+        cross = np.zeros(g.n, dtype=np.int64)
+        for u, v in g.edges:
+            side = within if labels[u] == labels[v] else cross
+            side[u] += 1
+            side[v] += 1
+        got_within, got_cross = degree_split(g, labels)
+        assert np.array_equal(got_within, within)
+        assert np.array_equal(got_cross, cross)
+
+    def test_degree_split_empty_graph(self):
+        within, cross = degree_split(Graph(4, np.empty((0, 2))), np.array([1, -1, 1, -1]))
+        assert within.tolist() == [0, 0, 0, 0] and cross.tolist() == [0, 0, 0, 0]
+
 
 class TestSerialization:
     def test_empty_graph_roundtrip(self):
@@ -205,7 +224,52 @@ class TestSerialization:
             parse_labeling("+1\n0\n")
 
 
+def _loop_csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference neighbor index: one pass over the sorted edges, per edge."""
+    deg = np.zeros(n, dtype=np.int64)
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    nbrs = np.empty(int(indptr[-1]), dtype=np.int64)
+    cursor = indptr[:-1].copy()
+    for u, v in edges:
+        nbrs[cursor[u]] = v
+        cursor[u] += 1
+        nbrs[cursor[v]] = u
+        cursor[v] += 1
+    return indptr, nbrs
+
+
+@st.composite
+def _edge_sets(draw):
+    n = draw(st.integers(1, 30))
+    iu, ju = np.triu_indices(n, k=1)
+    keep = np.array(draw(st.lists(st.booleans(), min_size=iu.size, max_size=iu.size)), dtype=bool)
+    edges = np.column_stack((iu[keep], ju[keep]))
+    order = draw(st.permutations(range(edges.shape[0])))
+    return n, edges[list(order)].reshape(-1, 2)
+
+
 class TestGraphStructure:
+    @given(_edge_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_csr_matches_loop_reference(self, case):
+        n, edges = case
+        g = Graph(n, edges)
+        indptr, nbrs = _loop_csr(n, g.edges)
+        assert g._indptr.dtype == indptr.dtype and g._nbrs.dtype == nbrs.dtype
+        assert g._indptr.tobytes() == indptr.tobytes()
+        assert g._nbrs.tobytes() == nbrs.tobytes()
+
+    def test_csr_matches_loop_reference_on_sbm(self):
+        for seed in range(3):
+            g, _ = generate_sbm(SbmParams(300, 20, 2), seed)
+            indptr, nbrs = _loop_csr(g.n, g.edges)
+            assert g._indptr.tobytes() == indptr.tobytes()
+            assert g._nbrs.tobytes() == nbrs.tobytes()
+
     def test_neighbors_sorted_consistent(self):
         g = Graph(5, [(0, 2), (0, 1), (2, 4)])
         assert sorted(g.neighbors(2).tolist()) == [0, 4]

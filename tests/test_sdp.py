@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,76 @@ class TestCertificate:
     def test_unbalanced_truth_rejected(self):
         with pytest.raises(ValueError):
             certificate_check(K4, np.array([1, 1, 1, -1], dtype=np.int8))
+
+
+def _two_cliques(n: int) -> Graph:
+    half = n // 2
+    iu, ju = np.triu_indices(n, k=1)
+    same = (iu < half) == (ju < half)
+    return Graph(n, np.column_stack((iu[same], ju[same])))
+
+
+def _complete(n: int) -> Graph:
+    return Graph(n, np.column_stack(np.triu_indices(n, k=1)))
+
+
+def _sorted_truth(n: int) -> np.ndarray:
+    return np.repeat(np.array([1, -1], dtype=np.int8), n // 2)
+
+
+def _certificate_cases():
+    # n = 2 is below the size at which ARPACK can return two eigenvalues
+    for n in (2, 4, 40):
+        truth = _sorted_truth(n)
+        yield f"empty-{n}", Graph(n, np.empty((0, 2))), truth
+        yield f"cliques-{n}", _two_cliques(n), truth
+        yield f"complete-{n}", _complete(n), truth
+    for n, a, b, seeds in [
+        (40, 5, 5, range(3)),  # alpha = beta: no signal
+        (300, 6, 6, range(2)),
+        (300, 4, 1, range(3)),  # below the threshold, f = 0.5
+        (300, 12, 5, range(3)),  # below, f = 0.75
+        (300, 10, 2, range(3)),  # above, f = 1.53
+        (300, 20, 2, range(3)),  # above, f = 4.68
+    ]:
+        for seed in seeds:
+            g, truth = generate_sbm(SbmParams(n, a, b), derive_seed(2718, seed))
+            yield f"sbm-{n}-{a}-{b}-{seed}", g, truth
+
+
+CERT_CASES = list(_certificate_cases())
+
+
+class TestCertificateMatchesDense:
+    """certificate_check against a dense eigvalsh of the formed matrix."""
+
+    @pytest.mark.parametrize(
+        "g,truth", [c[1:] for c in CERT_CASES], ids=[c[0] for c in CERT_CASES]
+    )
+    def test_verdict_and_spectrum(self, g, truth):
+        mat = certificate_matrix(g, truth).astype(np.float64)
+        vals = np.linalg.eigvalsh(mat)
+        fro = float(np.linalg.norm(mat))
+        rep = certificate_check(g, truth)
+        assert rep.g_residual == 0.0
+        assert rep.certified == (vals[0] >= -1e-8 * fro and vals[1] > 1e-6 * fro)
+        assert abs(rep.lambda_min - vals[0]) <= 1e-9 * fro
+        assert abs(rep.lambda_2 - vals[1]) <= 1e-9 * fro
+
+    def test_certified_outcomes_both_occur(self):
+        verdicts = {certificate_check(g, t).certified for _, g, t in CERT_CASES}
+        assert verdicts == {True, False}
+
+    def test_no_dense_matrix_above_fallback(self):
+        g, truth = generate_sbm(SbmParams(2000, 20, 2), 1)
+        tracemalloc.start()
+        try:
+            certificate_check(g, truth)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one dense n x n matrix of 8-byte entries would be 32 MB
+        assert peak < g.n * g.n * 8 / 2
 
 
 class TestExpectedCertificate:

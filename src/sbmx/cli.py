@@ -134,7 +134,6 @@ def _cmd_recover(args) -> int:
         rep = certificate_check(graph, truth)
         record["diagnostics"] = rep.to_dict()
         record["success"] = rep.certified
-        record["agreement"] = 1.0 if rep.certified else 0.0
     elif args.method == "two-phase":
         cfg = SplitConfig(c=args.split_c, seed=derive_seed(args.seed, 2))
         if args.oracle == "cheating":

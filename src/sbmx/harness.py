@@ -54,7 +54,7 @@ class TrialRecord:
     beta: float
     seed: int
     success: bool
-    agreement: float
+    agreement: float | None
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -109,7 +109,8 @@ def run_trial(
 
     The certificate method evaluates the dual certificate on the planted
     truth without solving anything (certificate success implies that the
-    relaxation's optimum is the truth, but is not necessary for it).
+    relaxation's optimum is the truth, but is not necessary for it); it
+    produces no labeling, so its agreement is None.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -134,7 +135,7 @@ def run_trial(
     elif method == "certificate":
         rep = certificate_check(g, truth)
         success = rep.certified
-        agr = 1.0 if rep.certified else 0.0
+        agr = None
         diag = rep.to_dict()
     else:  # two-phase
         cfg = SplitConfig(c=split_c, seed=derive_seed(seed, 2))
@@ -164,7 +165,7 @@ def run_trial(
         beta=params.beta,
         seed=seed,
         success=bool(success),
-        agreement=float(agr),
+        agreement=agr,
         diagnostics=diag,
     )
 

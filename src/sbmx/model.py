@@ -24,6 +24,7 @@ __all__ = [
     "require_labeling",
     "count_edges_between",
     "degree_split",
+    "balance_repair",
     "cut_size",
     "write_graph",
     "parse_graph",
@@ -227,6 +228,23 @@ def degree_split(g: Graph, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     within = np.bincount(np.concatenate((u[same], v[same])), minlength=g.n)
     cross = np.bincount(np.concatenate((u[~same], v[~same])), minlength=g.n)
     return within, cross
+
+
+def balance_repair(signs: np.ndarray, confidence: np.ndarray) -> np.ndarray:
+    """Balance a +/-1 vector by flipping its lowest-confidence majority entries.
+
+    Flips |sum| / 2 entries on the majority side, smallest confidence first,
+    ties broken by vertex index; a balanced input is returned as a copy.
+    """
+    labels = signs.astype(np.int8)
+    excess = int(labels.sum())
+    if excess == 0:
+        return labels
+    side = 1 if excess > 0 else -1
+    candidates = np.flatnonzero(labels == side)
+    order = candidates[np.lexsort((candidates, confidence[candidates]))]
+    labels[order[: abs(excess) // 2]] = -side
+    return labels
 
 
 def cut_size(g: Graph, labels) -> int:

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 from scipy.linalg import eigh
 
-from .model import Graph, SbmParams, degree_split, require_labeling
+from .model import Graph, SbmParams, balance_repair, degree_split, require_labeling
 from .seeding import derive_seed
 
 if TYPE_CHECKING:
@@ -371,13 +371,4 @@ def round_solution(sol) -> np.ndarray:
     n = lead.shape[0]
     if n % 2 != 0:
         raise ValueError("rounding needs an even number of vertices")
-    signs = np.where(lead >= 0.0, 1, -1).astype(np.int8)
-    excess = int(signs.sum())
-    if excess == 0:
-        return signs
-    side = 1 if excess > 0 else -1
-    flips = abs(excess) // 2
-    candidates = np.flatnonzero(signs == side)
-    order = candidates[np.lexsort((candidates, np.abs(lead[candidates])))]
-    signs[order[:flips]] = -side
-    return signs
+    return balance_repair(np.where(lead >= 0.0, 1, -1), np.abs(lead))

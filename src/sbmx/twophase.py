@@ -16,7 +16,8 @@ from typing import Union
 
 import numpy as np
 
-from .model import Graph, degree_split, require_labeling
+from .model import Graph, balance_repair, degree_split, require_labeling
+from .sdp import ConvergenceError
 
 __all__ = [
     "SplitConfig",
@@ -112,18 +113,47 @@ def split_graph(g: Graph, cfg: SplitConfig) -> tuple[Graph, Graph]:
     return Graph(g.n, g.edges[in_g1]), Graph(g.n, g.edges[~in_g1])
 
 
-def _balance_repair(signs: np.ndarray, confidence: np.ndarray) -> np.ndarray:
-    """Flip lowest-confidence entries on the majority side until balanced."""
-    labels = signs.astype(np.int8).copy()
-    excess = int(labels.sum())
-    if excess == 0:
-        return labels
-    side = 1 if excess > 0 else -1
-    flips = abs(excess) // 2
-    candidates = np.flatnonzero(labels == side)
-    order = candidates[np.lexsort((candidates, confidence[candidates]))]
-    labels[order[:flips]] = -side
-    return labels
+# seed of ARPACK's fixed start vector, so the oracle's labels are a pure
+# function of G1 and do not depend on call order
+_START_SEED = 7
+
+
+def _leading_direction(g1: Graph, kept: np.ndarray) -> np.ndarray:
+    """Top eigenvector of the centred adjacency A - (2m/k^2) 11^T on kept vertices.
+
+    A is the k x k adjacency of the m edges that join two kept vertices; the
+    rank-one centring term is applied as a shifted sum, so no k x k array is
+    formed.
+    """
+    # imported on first use, as in sdp.certificate_check: processes that
+    # never run the spectral oracle do not pay for loading scipy.sparse
+    from scipy.sparse import csr_array
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    k = kept.size
+    pos = -np.ones(g1.n, dtype=np.int64)
+    pos[kept] = np.arange(k)
+    pu, pv = pos[g1.edges[:, 0]], pos[g1.edges[:, 1]]
+    both = (pu >= 0) & (pv >= 0)
+    m_sub = int(np.count_nonzero(both))
+    if m_sub == 0:
+        # the centred operator is zero: every direction is an eigenvector
+        raise ValueError("degenerate spectral direction: no edge joins two kept vertices")
+    rows = np.concatenate((pu[both], pv[both]))
+    cols = np.concatenate((pv[both], pu[both]))
+    adj = csr_array((np.ones(rows.size), (rows, cols)), shape=(k, k))
+    shift = 2.0 * m_sub / k**2
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        return adj @ x - shift * x.sum()
+
+    op = LinearOperator((k, k), matvec=matvec, dtype=np.float64)
+    v0 = np.random.Generator(np.random.PCG64(_START_SEED)).standard_normal(k)
+    try:
+        _, vecs = eigsh(op, k=1, which="LA", tol=0, v0=v0)
+    except ArpackNoConvergence as exc:
+        raise ConvergenceError(f"ARPACK did not converge in the spectral oracle: {exc}") from exc
+    return vecs[:, 0]
 
 
 def partial_recovery(g1: Graph, oracle: PartialOracle, truth=None) -> np.ndarray:
@@ -151,17 +181,7 @@ def partial_recovery(g1: Graph, oracle: PartialOracle, truth=None) -> np.ndarray
             if not keep.any():
                 keep = np.ones(n, dtype=bool)
         kept = np.flatnonzero(keep)
-        pos = -np.ones(n, dtype=np.int64)
-        pos[kept] = np.arange(kept.size)
-        adj = np.zeros((kept.size, kept.size))
-        pu, pv = pos[g1.edges[:, 0]], pos[g1.edges[:, 1]]
-        both = (pu >= 0) & (pv >= 0)
-        adj[pu[both], pv[both]] = 1.0
-        adj[pv[both], pu[both]] = 1.0
-        m_sub = adj.sum() / 2.0
-        centered = adj - (2.0 * m_sub / kept.size**2)
-        vals, vecs = np.linalg.eigh(centered)
-        lead = vecs[:, -1]
+        lead = _leading_direction(g1, kept)
         if np.linalg.norm(lead) == 0.0:
             raise ValueError("degenerate spectral direction")
         score = np.zeros(n)
@@ -173,7 +193,7 @@ def partial_recovery(g1: Graph, oracle: PartialOracle, truth=None) -> np.ndarray
             vote = int(signs[nbrs[keep[nbrs]]].sum())
             signs[v] = 1 if vote >= 0 else -1
         confidence = np.abs(score)
-        return _balance_repair(signs, confidence)
+        return balance_repair(signs, confidence)
     raise TypeError(f"unknown oracle {oracle!r}")
 
 

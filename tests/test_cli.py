@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from sbmx.cli import main
@@ -101,6 +102,34 @@ class TestRecover:
         assert code == 0
         rec = json.loads(out)
         assert rec["agreement"] is None and rec["success"] is None
+
+    def test_certificate_agreement_is_null(self, planted_files, capsys):
+        gpath, lpath = planted_files
+        code, out, _ = run_cli(
+            capsys,
+            "recover", "--method", "certificate", "--graph", str(gpath), "--labels", str(lpath),
+        )
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["agreement"] is None
+        assert isinstance(rec["success"], bool)
+
+    def test_spectral_nonconvergence_exit_3(self, planted_files, capsys, monkeypatch):
+        import scipy.sparse.linalg
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        gpath, lpath = planted_files
+        code, _, err = run_cli(
+            capsys,
+            "recover", "--method", "two-phase", "--graph", str(gpath),
+            "--labels", str(lpath), "--split-c", "2.0",
+        )
+        assert code == 3
+        assert "ARPACK" in err
 
     def test_certificate_needs_labels(self, planted_files, capsys):
         gpath, _ = planted_files

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -52,6 +53,13 @@ class TestRunTrial:
         params = SbmParams(300, 4, 4)
         succ = sum(run_trial("certificate", params, 99, t).success for t in range(20))
         assert succ == 0
+
+    def test_certificate_agreement_is_null(self):
+        # the certificate produces no labeling, so there is nothing to agree
+        for params in (SbmParams(300, 30, 1), SbmParams(300, 4, 4)):
+            rec = run_trial("certificate", params, 99, 0)
+            assert rec.agreement is None
+            assert json.loads(json.dumps(rec.to_dict()))["agreement"] is None
 
     def test_two_phase_trial(self):
         rec = run_trial(

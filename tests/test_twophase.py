@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbmx.mlexact import node_majority_failure
-from sbmx.model import Graph, SbmParams, agreement, generate_sbm, is_balanced
+from sbmx.model import Graph, SbmParams, agreement, balance_repair, generate_sbm, is_balanced
+from sbmx.sdp import ConvergenceError
 from sbmx.seeding import derive_seed
 from sbmx.twophase import (
     CheatingOracle,
@@ -18,6 +21,52 @@ from sbmx.twophase import (
     split_graph,
     two_phase_recover,
 )
+
+
+def dense_spectral_reference(g1: Graph, trim: bool) -> np.ndarray:
+    """The spectral oracle on a dense n x n centred adjacency and a full eigh.
+
+    Independent reference for the matrix-free oracle: same trimming, neighbour
+    vote and balance repair, but the eigenvector comes from LAPACK.
+    """
+    n = g1.n
+    keep = np.ones(n, dtype=bool)
+    if trim:
+        keep = g1.degrees() <= 10.0 * (2.0 * g1.m / n)
+    kept = np.flatnonzero(keep)
+    pos = -np.ones(n, dtype=np.int64)
+    pos[kept] = np.arange(kept.size)
+    adj = np.zeros((kept.size, kept.size))
+    pu, pv = pos[g1.edges[:, 0]], pos[g1.edges[:, 1]]
+    both = (pu >= 0) & (pv >= 0)
+    adj[pu[both], pv[both]] = 1.0
+    adj[pv[both], pu[both]] = 1.0
+    centered = adj - (adj.sum() / kept.size**2)
+    _, vecs = np.linalg.eigh(centered)
+    score = np.zeros(n)
+    score[kept] = vecs[:, -1]
+    signs = np.where(score >= 0, 1, -1).astype(np.int8)
+    for v in np.flatnonzero(~keep):
+        nbrs = g1.neighbors(v)
+        signs[v] = 1 if int(signs[nbrs[keep[nbrs]]].sum()) >= 0 else -1
+    return balance_repair(signs, np.abs(score))
+
+
+def sbm_g1(n: int, alpha: float, beta: float, seed: int) -> Graph:
+    g, _ = generate_sbm(SbmParams(n, alpha, beta), derive_seed(41, seed))
+    g1, _ = split_graph(g, SplitConfig(c=1.0, seed=derive_seed(seed, 2)))
+    return g1
+
+
+def with_hubs(g: Graph, hubs: int) -> Graph:
+    """g plus edges from vertices 0..hubs-1 to every second other vertex."""
+    extra = [(h, v) for h in range(hubs) for v in range(hubs, g.n, 2)]
+    edges = {tuple(e) for e in g.edges.tolist()} | set(extra)
+    return Graph(g.n, sorted(edges))
+
+
+def same_up_to_sign(x: np.ndarray, y: np.ndarray) -> bool:
+    return np.array_equal(x, y) or np.array_equal(x, -y)
 
 
 def two_cliques(k: int) -> Graph:
@@ -119,6 +168,103 @@ class TestSpectralOracle:
         for trim in (True, False):
             out = partial_recovery(g, SpectralOracle(trim=trim))
             assert is_balanced(out)
+
+
+class TestSpectralOracleDifferential:
+    """The matrix-free oracle against the dense eigh reference.
+
+    An eigenvector's sign is arbitrary, and the two solvers pick theirs
+    independently, so labels are compared up to a global flip.
+    """
+
+    @pytest.mark.parametrize("trim", [True, False])
+    @pytest.mark.parametrize(
+        "n, alpha, beta, seed",
+        [
+            (60, 12, 4, 0),
+            (60, 8, 2, 1),
+            (300, 20, 2, 2),
+            (300, 8, 2, 3),
+            (1000, 30, 4, 4),
+            (1000, 12, 4, 5),
+            (2000, 20, 2, 6),
+            (2000, 8, 2, 7),
+        ],
+    )
+    def test_matches_dense_on_sbm_g1(self, n, alpha, beta, seed, trim):
+        g1 = sbm_g1(n, alpha, beta, seed)
+        out = partial_recovery(g1, SpectralOracle(trim=trim))
+        assert same_up_to_sign(out, dense_spectral_reference(g1, trim))
+
+    @pytest.mark.parametrize("n, hubs", [(300, 2), (1000, 3)])
+    def test_matches_dense_with_trimmed_hubs(self, n, hubs):
+        g1 = with_hubs(sbm_g1(n, 20, 2, n), hubs)
+        deg = g1.degrees()
+        assert np.count_nonzero(deg > 10.0 * (2.0 * g1.m / n)) == hubs
+        for trim in (True, False):
+            out = partial_recovery(g1, SpectralOracle(trim=trim))
+            assert same_up_to_sign(out, dense_spectral_reference(g1, trim))
+
+    def test_peak_memory_below_half_a_dense_matrix(self):
+        n = 2000
+        g1 = sbm_g1(n, 20, 2, 0)
+        partial_recovery(g1, SpectralOracle())  # load scipy.sparse off the count
+        tracemalloc.start()
+        try:
+            partial_recovery(g1, SpectralOracle())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 2, f"peak {peak / 2**20:.1f} MiB"
+
+
+class TestSpectralOracleTiny:
+    """Kept sets at ARPACK's limits: one eigenpair needs at least 2 vertices.
+
+    Trimming drops only vertices of degree above 10x the average, which is
+    fewer than n/10 of them (and none below n = 20), so the smallest kept sets
+    come from small n; what trimming can shrink to almost nothing is the
+    kept subgraph's edge set.
+    """
+
+    def test_single_edge_n2(self):
+        g = Graph(2, [(0, 1)])
+        out = partial_recovery(g, SpectralOracle())
+        assert is_balanced(out)
+
+    def test_two_edges_n4(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        truth = np.array([1, 1, -1, -1], dtype=np.int8)
+        for trim in (True, False):
+            out = partial_recovery(g, SpectralOracle(trim=trim))
+            assert agreement(out, truth) == 1.0
+            assert same_up_to_sign(out, dense_spectral_reference(g, trim))
+
+    def test_path_n6(self):
+        g = Graph(6, [(i, i + 1) for i in range(5)])
+        out = partial_recovery(g, SpectralOracle())
+        assert same_up_to_sign(out, dense_spectral_reference(g, True))
+
+    def test_trimmed_star_leaves_one_edge(self):
+        # the centre of a 20-leaf star is trimmed; one edge joins two leaves
+        g = Graph(22, [(0, v) for v in range(1, 21)] + [(1, 2)])
+        out = partial_recovery(g, SpectralOracle())
+        assert is_balanced(out)
+        assert out[1] == out[2]
+
+    def test_trimmed_star_without_kept_edges_rejected(self):
+        g = Graph(22, [(0, v) for v in range(1, 21)])
+        with pytest.raises(ValueError, match="degenerate spectral direction"):
+            partial_recovery(g, SpectralOracle())
+        assert is_balanced(partial_recovery(g, SpectralOracle(trim=False)))
+
+    def test_nonconvergence_raises_convergence_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        with pytest.raises(ConvergenceError, match="ARPACK"):
+            partial_recovery(two_cliques(10), SpectralOracle())
 
 
 class TestLocalImprovement:

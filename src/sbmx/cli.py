@@ -12,33 +12,25 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .harness import (
     METHODS,
+    TrialRecord,
     boundary_curves,
     format_curves_csv,
     format_phase_csv,
     phase_diagram,
+    recover,
 )
-from .mlexact import estimate_event_probabilities, ml_bisection
+from .mlexact import estimate_event_probabilities
 from .model import (
     SbmParams,
-    agreement,
     generate_sbm,
     parse_graph,
     parse_labeling,
     write_graph,
     write_labeling,
 )
-from .sdp import (
-    ConvergenceError,
-    SdpConfig,
-    certificate_check,
-    sdp_solve,
-    signed_adjacency,
-)
-from .seeding import derive_seed
+from .sdp import ConvergenceError
 from .tails import (
     diff_binomial_tail,
     dominant_tilt,
@@ -46,14 +38,7 @@ from .tails import (
     recovery_threshold,
     tail_exponent,
 )
-from .twophase import (
-    CheatingOracle,
-    SpectralOracle,
-    SplitConfig,
-    local_improvement,
-    partial_recovery,
-    split_graph,
-)
+from .twophase import SplitConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -96,67 +81,27 @@ def _cmd_recover(args) -> int:
     if args.labels:
         with open(args.labels, encoding="utf-8") as fh:
             truth = parse_labeling(fh.read())
-        if truth.shape[0] != graph.n:
-            raise ValueError("labeling length does not match the graph")
-
-    record = {
-        "method": args.method,
-        "n": graph.n,
-        "alpha": None,
-        "beta": None,
-        "seed": args.seed,
-        "success": None,
-        "agreement": None,
-        "diagnostics": {},
-    }
-
-    def finish(labels, diagnostics) -> None:
-        record["diagnostics"] = diagnostics
-        if labels is not None:
-            record["labeling"] = [int(x) for x in labels]
-            if truth is not None:
-                agr = agreement(labels, truth)
-                record["agreement"] = agr
-                record["success"] = agr == 1.0
-
-    if args.method == "ml":
-        res = ml_bisection(graph)
-        diag = {"min_cut": res.min_cut, "optima_count": res.optima_count, "unique": res.unique}
-        finish(res.best, diag)
-        if truth is not None:
-            record["success"] = bool(record["success"] and res.unique)
-    elif args.method == "sdp":
-        sol = sdp_solve(signed_adjacency(graph), SdpConfig(seed=args.seed))
-        finish(sol.rounded, {"objective": sol.objective, "rounds_used": sol.rounds_used})
-    elif args.method == "certificate":
-        if truth is None:
-            raise ValueError("the certificate method needs --labels (the planted truth)")
-        rep = certificate_check(graph, truth)
-        record["diagnostics"] = rep.to_dict()
-        record["success"] = rep.certified
-    elif args.method == "two-phase":
-        cfg = SplitConfig(c=args.split_c, seed=derive_seed(args.seed, 2))
-        if args.oracle == "cheating":
-            if truth is None:
-                raise ValueError("the cheating oracle needs --labels")
-            oracle = CheatingOracle(corruption=args.delta, seed=derive_seed(args.seed, 3))
-        else:
-            oracle = SpectralOracle()
-        g1, g2 = split_graph(graph, cfg)
-        part = partial_recovery(g1, oracle, truth)
-        labels = part
-        for _ in range(args.rounds):
-            labels = local_improvement(g2, labels)
-        finish(
-            labels,
-            {
-                "g1_edges": g1.m,
-                "g2_edges": g2.m,
-                "flips_applied": int(np.count_nonzero(labels != part)),
-            },
-        )
-    else:
-        raise ValueError(f"unknown method {args.method!r}")
+    out = recover(
+        args.method,
+        graph,
+        truth,
+        args.seed,
+        split_c=args.split_c,
+        oracle=args.oracle,
+        oracle_delta=args.delta,
+    )
+    record = TrialRecord(
+        method=args.method,
+        n=graph.n,
+        alpha=None,
+        beta=None,
+        seed=args.seed,
+        success=out.success,
+        agreement=out.agreement,
+        diagnostics=out.diagnostics,
+    ).to_dict()
+    if out.labels is not None:
+        record["labeling"] = [int(x) for x in out.labels]
     _emit(record)
     return EXIT_OK
 
@@ -282,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--split-c", type=float, default=SplitConfig.c)
     p_rec.add_argument("--oracle", choices=["spectral", "cheating"], default="spectral")
     p_rec.add_argument("--delta", type=float, default=0.1)
-    p_rec.add_argument("--rounds", type=int, default=1)
     p_rec.set_defaults(func=_cmd_recover)
 
     p_tail = sub.add_parser("tail", help="exact binomial-difference tails and exponents")

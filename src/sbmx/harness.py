@@ -17,23 +17,26 @@ from typing import Sequence
 import numpy as np
 
 from .mlexact import ml_bisection
-from .model import SbmParams, agreement, generate_sbm
+from .model import Graph, SbmParams, agreement, generate_sbm, require_labeling
 from .sdp import SdpConfig, certificate_check, sdp_solve, signed_adjacency
 from .seeding import derive_seed
 from .twophase import (
     CheatingOracle,
+    DegenerateOracleError,
     SpectralOracle,
     SplitConfig,
+    local_improvement,
     partial_recovery,
     split_graph,
-    local_improvement,
 )
 
 __all__ = [
     "METHODS",
+    "Recovery",
     "TrialRecord",
     "PhasePoint",
     "CurvePoint",
+    "recover",
     "run_trial",
     "phase_diagram",
     "boundary_curves",
@@ -46,14 +49,19 @@ METHODS = ("ml", "sdp", "certificate", "two-phase")
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One seeded trial: what ran, whether it recovered, and diagnostics."""
+    """One seeded trial: what ran, whether it recovered, and diagnostics.
+
+    `sbmx recover` emits the same record for a graph read from a file, with
+    alpha and beta None (a file does not say them), and success None when no
+    truth is given.
+    """
 
     method: str
     n: int
-    alpha: float
-    beta: float
+    alpha: float | None
+    beta: float | None
     seed: int
-    success: bool
+    success: bool | None
     agreement: float | None
     diagnostics: dict = field(default_factory=dict)
 
@@ -93,6 +101,86 @@ class CurvePoint:
     alpha_green: float
 
 
+@dataclass(frozen=True)
+class Recovery:
+    """One method's output on one graph.
+
+    labels is None for the certificate (it outputs no labeling) and for a
+    two-phase trial whose oracle met a degenerate G1; success and agreement
+    are None without a planted truth, and agreement is None whenever labels
+    is.
+    """
+
+    labels: np.ndarray | None
+    success: bool | None
+    agreement: float | None
+    diagnostics: dict
+
+
+def recover(
+    method: str,
+    graph: Graph,
+    truth=None,
+    seed: int = 0,
+    *,
+    split_c: float = SplitConfig.c,
+    oracle: str = "spectral",
+    oracle_delta: float = 0.1,
+) -> Recovery:
+    """Run one recovery method on a graph; the one dispatch every entry point uses.
+
+    Sub-seeds: the SDP's restarts use derive_seed(seed, 1), the two-phase
+    split derive_seed(seed, 2) and the cheating oracle derive_seed(seed, 3),
+    so `run_trial` and `sbmx recover` on the same graph and seed agree
+    exactly. The certificate method evaluates the dual certificate on the
+    planted truth without solving anything (certificate success implies that
+    the relaxation's optimum is the truth, but is not necessary for it).
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if truth is not None:
+        truth = require_labeling(truth, graph.n)
+
+    if method == "certificate":
+        if truth is None:
+            raise ValueError("the certificate method needs the planted truth labels")
+        rep = certificate_check(graph, truth)
+        return Recovery(None, rep.certified, None, rep.to_dict())
+
+    unique = True  # ML recovers only when its optimum is unique
+    if method == "ml":
+        res = ml_bisection(graph)
+        labels, unique = res.best, res.unique
+        diag = {"min_cut": res.min_cut, "optima_count": res.optima_count, "unique": res.unique}
+    elif method == "sdp":
+        sol = sdp_solve(signed_adjacency(graph), SdpConfig(seed=derive_seed(seed, 1)))
+        labels = sol.rounded
+        diag = {"objective": sol.objective, "rounds_used": sol.rounds_used}
+    else:  # two-phase
+        if oracle == "cheating":
+            orc = CheatingOracle(corruption=oracle_delta, seed=derive_seed(seed, 3))
+        elif oracle == "spectral":
+            orc = SpectralOracle()
+        else:
+            raise ValueError(f"unknown oracle {oracle!r}")
+        g1, g2 = split_graph(graph, SplitConfig(c=split_c, seed=derive_seed(seed, 2)))
+        diag = {"g1_edges": g1.m, "g2_edges": g2.m}
+        try:
+            part = partial_recovery(g1, orc, truth)
+        except DegenerateOracleError as exc:
+            # no signal in G1: the trial fails, it does not end the sweep
+            diag["oracle_failure"] = str(exc)
+            return Recovery(None, None if truth is None else False, None, diag)
+        labels = local_improvement(g2, part)
+        diag["oracle_agreement"] = None if truth is None else agreement(part, truth)
+        diag["flips_applied"] = int(np.count_nonzero(labels != part))
+
+    if truth is None:
+        return Recovery(labels, None, None, diag)
+    agr = agreement(labels, truth)
+    return Recovery(labels, bool(unique and agr == 1.0), agr, diag)
+
+
 def run_trial(
     method: str,
     params: SbmParams,
@@ -102,71 +190,22 @@ def run_trial(
     split_c: float = SplitConfig.c,
     oracle: str = "spectral",
     oracle_delta: float = 0.1,
-    sdp_config: SdpConfig | None = None,
-    rounds: int = 1,
 ) -> TrialRecord:
-    """Generate a planted instance from the derived trial seed and run a method.
-
-    The certificate method evaluates the dual certificate on the planted
-    truth without solving anything (certificate success implies that the
-    relaxation's optimum is the truth, but is not necessary for it); it
-    produces no labeling, so its agreement is None.
-    """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    """Generate a planted instance from the derived trial seed and `recover` on it."""
     seed = derive_seed(base_seed, trial_index)
     g, truth = generate_sbm(params, seed)
-
-    if method == "ml":
-        res = ml_bisection(g)
-        agr = agreement(res.best, truth)
-        success = res.unique and agr == 1.0
-        diag = {
-            "min_cut": res.min_cut,
-            "optima_count": res.optima_count,
-            "unique": res.unique,
-        }
-    elif method == "sdp":
-        cfg = sdp_config or SdpConfig(seed=derive_seed(seed, 1))
-        sol = sdp_solve(signed_adjacency(g), cfg)
-        agr = agreement(sol.rounded, truth)
-        success = agr == 1.0
-        diag = {"objective": sol.objective, "rounds_used": sol.rounds_used}
-    elif method == "certificate":
-        rep = certificate_check(g, truth)
-        success = rep.certified
-        agr = None
-        diag = rep.to_dict()
-    else:  # two-phase
-        cfg = SplitConfig(c=split_c, seed=derive_seed(seed, 2))
-        if oracle == "cheating":
-            orc = CheatingOracle(corruption=oracle_delta, seed=derive_seed(seed, 3))
-        elif oracle == "spectral":
-            orc = SpectralOracle()
-        else:
-            raise ValueError(f"unknown oracle {oracle!r}")
-        g1, g2 = split_graph(g, cfg)
-        part = partial_recovery(g1, orc, truth)
-        labels = part
-        for _ in range(rounds):
-            labels = local_improvement(g2, labels)
-        agr = agreement(labels, truth)
-        success = agr == 1.0
-        diag = {
-            "g1_edges": g1.m,
-            "g2_edges": g2.m,
-            "oracle_agreement": agreement(part, truth),
-            "flips_applied": int(np.count_nonzero(labels != part)),
-        }
+    out = recover(
+        method, g, truth, seed, split_c=split_c, oracle=oracle, oracle_delta=oracle_delta
+    )
     return TrialRecord(
         method=method,
         n=params.n,
         alpha=params.alpha,
         beta=params.beta,
         seed=seed,
-        success=bool(success),
-        agreement=agr,
-        diagnostics=diag,
+        success=out.success,
+        agreement=out.agreement,
+        diagnostics=out.diagnostics,
     )
 
 

@@ -16,7 +16,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import Graph, SbmParams, agreement, count_edges_between, generate_sbm, require_labeling
+from .model import (
+    Graph,
+    SbmParams,
+    agreement,
+    count_edges_between,
+    degree_split,
+    generate_sbm,
+    require_labeling,
+)
 from .seeding import derive_seed
 from .tails import margin_schedule
 
@@ -167,7 +175,9 @@ def estimate_event_probabilities(
         plus = np.flatnonzero(truth == 1)
         subset = [int(v) for v in plus[:subset_size]]
 
-        f_a = any(node_majority_failure(g, truth, int(i)) for i in plus)
+        # node_majority_failure on every + vertex, from one degree count
+        within, cross = degree_split(g, truth)
+        f_a = bool(np.any(cross[plus] > within[plus]))
         delta_ok = subset_degrees_bounded(g, subset, margin)
         f_h = any(cross_margin_event(g, truth, subset, j, margin) for j in subset)
         majority += f_a

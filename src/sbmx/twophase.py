@@ -1,11 +1,12 @@
 """Two-phase recovery: edge splitting, a partial-recovery oracle, local flips.
 
-The pipeline splits the observed graph into G1 (a sparse sample handed to a
-partial-recovery oracle) and G2 (everything else), then applies one
-simultaneous round of degree-majority flips using G2 only. Two oracles are
-provided: a spectral stand-in for a real partial-recovery algorithm, and a
-cheating oracle that corrupts the planted truth by an exact fraction, which
-isolates the local-improvement step from partial-recovery quality.
+The pipeline, composed by `harness.recover`, splits the observed graph into
+G1 (a sparse sample handed to a partial-recovery oracle) and G2 (everything
+else), then applies one simultaneous round of degree-majority flips using G2
+only. Two oracles are provided: a spectral stand-in for a real
+partial-recovery algorithm, and a cheating oracle that corrupts the planted
+truth by an exact fraction, which isolates the local-improvement step from
+partial-recovery quality.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .model import Graph, balance_repair, degree_split, require_labeling
 from .sdp import ConvergenceError
 
 __all__ = [
+    "DegenerateOracleError",
     "SplitConfig",
     "SpectralOracle",
     "CheatingOracle",
@@ -28,8 +30,16 @@ __all__ = [
     "split_graph",
     "partial_recovery",
     "local_improvement",
-    "two_phase_recover",
 ]
+
+
+class DegenerateOracleError(ValueError):
+    """G1 carries no spectral signal: it is empty, no edge joins two kept
+    vertices, or the leading direction is zero.
+
+    A property of the sampled graph, not of the caller's input: a trial that
+    meets it fails, where other ValueErrors reject the configuration.
+    """
 
 
 @dataclass(frozen=True)
@@ -138,7 +148,9 @@ def _leading_direction(g1: Graph, kept: np.ndarray) -> np.ndarray:
     m_sub = int(np.count_nonzero(both))
     if m_sub == 0:
         # the centred operator is zero: every direction is an eigenvector
-        raise ValueError("degenerate spectral direction: no edge joins two kept vertices")
+        raise DegenerateOracleError(
+            "degenerate spectral direction: no edge joins two kept vertices"
+        )
     rows = np.concatenate((pu[both], pv[both]))
     cols = np.concatenate((pv[both], pu[both]))
     adj = csr_array((np.ones(rows.size), (rows, cols)), shape=(k, k))
@@ -173,7 +185,7 @@ def partial_recovery(g1: Graph, oracle: PartialOracle, truth=None) -> np.ndarray
         return out
     if isinstance(oracle, SpectralOracle):
         if g1.m == 0:
-            raise ValueError("spectral oracle needs a nonempty graph")
+            raise DegenerateOracleError("spectral oracle needs a nonempty graph")
         keep = np.ones(n, dtype=bool)
         if oracle.trim:
             deg = g1.degrees()
@@ -183,7 +195,7 @@ def partial_recovery(g1: Graph, oracle: PartialOracle, truth=None) -> np.ndarray
         kept = np.flatnonzero(keep)
         lead = _leading_direction(g1, kept)
         if np.linalg.norm(lead) == 0.0:
-            raise ValueError("degenerate spectral direction")
+            raise DegenerateOracleError("degenerate spectral direction")
         score = np.zeros(n)
         score[kept] = lead
         signs = np.where(score >= 0, 1, -1).astype(np.int8)
@@ -197,61 +209,20 @@ def partial_recovery(g1: Graph, oracle: PartialOracle, truth=None) -> np.ndarray
     raise TypeError(f"unknown oracle {oracle!r}")
 
 
-def local_improvement(
-    g2: Graph, labels, *, allow_unbalanced_subset: bool = False
-) -> np.ndarray:
+def local_improvement(g2: Graph, labels) -> np.ndarray:
     """One simultaneous round of degree-majority flips against G2.
 
     Every node is marked iff it has strictly more G2 edges to the opposite
     community than to its own, judged against the input labels. All marks are
     applied only when both sides mark the same number of nodes; otherwise
-    the labels are returned unchanged. With allow_unbalanced_subset=True
-    (beyond the literal rule) the strongest min(kA, kB) marks per side are
-    applied instead of discarding everything.
+    the labels are returned unchanged.
     """
     arr = require_labeling(labels, g2.n)
     if int(arr.sum()) != 0:
         raise ValueError("local improvement requires balanced labels")
     own, cross = degree_split(g2, arr)
     marked = cross > own
-    marks_plus = np.flatnonzero(marked & (arr == 1))
-    marks_minus = np.flatnonzero(marked & (arr == -1))
-    if marks_plus.size == marks_minus.size:
-        out = arr.copy()
-        out[marked] = -out[marked]
-        return out
-    if not allow_unbalanced_subset:
-        return arr.copy()
-    take = min(marks_plus.size, marks_minus.size)
-    margin = cross - own
     out = arr.copy()
-    for side_marks in (marks_plus, marks_minus):
-        order = side_marks[np.lexsort((side_marks, -margin[side_marks]))]
-        chosen = order[:take]
-        out[chosen] = -out[chosen]
+    if np.count_nonzero(marked & (arr == 1)) == np.count_nonzero(marked & (arr == -1)):
+        out[marked] = -out[marked]
     return out
-
-
-def two_phase_recover(
-    g: Graph,
-    cfg: SplitConfig,
-    oracle: PartialOracle,
-    truth=None,
-    *,
-    rounds: int = 1,
-    allow_unbalanced_subset: bool = False,
-) -> np.ndarray:
-    """Split, run partial recovery on G1, then flip rounds against G2.
-
-    The single-round variant is the reference procedure; rounds > 1 iterates
-    the flip step and goes beyond it.
-    """
-    if rounds < 1:
-        raise ValueError("rounds must be at least 1")
-    g1, g2 = split_graph(g, cfg)
-    labels = partial_recovery(g1, oracle, truth)
-    for _ in range(rounds):
-        labels = local_improvement(
-            g2, labels, allow_unbalanced_subset=allow_unbalanced_subset
-        )
-    return labels

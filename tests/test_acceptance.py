@@ -17,7 +17,7 @@ import numpy as np
 
 from conftest import ACCEPTANCE_LINES, naive_min_bisection
 
-from sbmx.harness import phase_diagram
+from sbmx.harness import phase_diagram, recover
 from sbmx.mlexact import ml_bisection
 from sbmx.model import (
     SbmParams,
@@ -46,7 +46,7 @@ from sbmx.tails import (
     tail_exponent,
     tilt_objective,
 )
-from sbmx.twophase import CheatingOracle, SplitConfig, split_graph, two_phase_recover
+from sbmx.twophase import SplitConfig, split_graph
 
 
 def report(number: int, ok: bool, detail: str) -> str:
@@ -271,13 +271,10 @@ def test_criterion_8_two_phase_cheating_oracle():
         for t in range(20):
             seed = derive_seed(base, t)
             g, truth = generate_sbm(params, seed)
-            out = two_phase_recover(
-                g,
-                SplitConfig(c=split_c, seed=derive_seed(seed, 1)),
-                CheatingOracle(corruption=0.1, seed=derive_seed(seed, 2)),
-                truth,
+            out = recover(
+                "two-phase", g, truth, seed, split_c=split_c, oracle="cheating", oracle_delta=0.1
             )
-            count += agreement(out, truth) == 1.0
+            count += out.success
         counts.append(count)
     successes_high, null_successes = counts
     elapsed = time.time() - start

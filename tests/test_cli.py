@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import sbmx.harness
 from sbmx.cli import main
-from sbmx.model import parse_graph, parse_labeling
+from sbmx.harness import run_trial
+from sbmx.model import SbmParams, parse_graph, parse_labeling
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +133,34 @@ class TestRecover:
         assert code == 3
         assert "ARPACK" in err
 
+    def test_two_phase_split_above_log_n_exit_2(self, planted_files, capsys):
+        # c = 4 > log(20): a configuration error, not a failed trial
+        gpath, lpath = planted_files
+        code, _, err = run_cli(
+            capsys,
+            "recover", "--method", "two-phase", "--graph", str(gpath),
+            "--labels", str(lpath), "--split-c", "4",
+        )
+        assert code == 2
+        assert "exceeds 1" in err
+
+    def test_two_phase_empty_graph_fails_without_labeling(self, tmp_path, capsys):
+        gpath, lpath = tmp_path / "g.txt", tmp_path / "l.txt"
+        main([
+            "gen", "--n", "20", "--alpha", "0", "--beta", "0", "--seed", "1",
+            "--graph-out", str(gpath), "--labels-out", str(lpath),
+        ])
+        capsys.readouterr()
+        code, out, err = run_cli(
+            capsys,
+            "recover", "--method", "two-phase", "--graph", str(gpath), "--labels", str(lpath),
+        )
+        assert code == 0, err
+        rec = json.loads(out)
+        assert rec["success"] is False and rec["agreement"] is None
+        assert "labeling" not in rec
+        assert "nonempty" in rec["diagnostics"]["oracle_failure"]
+
     def test_certificate_needs_labels(self, planted_files, capsys):
         gpath, _ = planted_files
         code, _, err = run_cli(capsys, "recover", "--method", "certificate", "--graph", str(gpath))
@@ -140,6 +170,66 @@ class TestRecover:
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "recover", "--method", "ml", "--graph", "/nonexistent")
         assert code == 2
+
+
+class TestReplay:
+    """`sbmx gen` then `sbmx recover` at a trial's seed reproduce `run_trial`."""
+
+    @pytest.mark.parametrize(
+        "method, params, kwargs, options",
+        [
+            ("ml", SbmParams(16, 4, 1), {}, []),
+            ("sdp", SbmParams(60, 12, 1), {}, []),
+            ("certificate", SbmParams(60, 12, 1), {}, []),
+            ("two-phase", SbmParams(300, 20, 2), {"oracle": "spectral"}, ["--oracle", "spectral"]),
+            (
+                "two-phase",
+                SbmParams(300, 10, 1),
+                {"oracle": "cheating", "oracle_delta": 0.1},
+                ["--oracle", "cheating", "--delta", "0.1"],
+            ),
+        ],
+        ids=["ml", "sdp", "certificate", "two-phase-spectral", "two-phase-cheating"],
+    )
+    def test_recover_replays_trial(self, tmp_path, capsys, method, params, kwargs, options):
+        rec = json.loads(json.dumps(run_trial(method, params, 77, 4, **kwargs).to_dict()))
+        gpath, lpath = tmp_path / "g.txt", tmp_path / "l.txt"
+        main([
+            "gen", "--n", str(params.n), "--alpha", str(params.alpha), "--beta", str(params.beta),
+            "--seed", str(rec["seed"]), "--graph-out", str(gpath), "--labels-out", str(lpath),
+        ])
+        capsys.readouterr()
+        code, out, err = run_cli(
+            capsys,
+            "recover", "--method", method, "--graph", str(gpath), "--labels", str(lpath),
+            "--seed", str(rec["seed"]), *options,
+        )
+        assert code == 0, err
+        replay = json.loads(out)
+        for key in ("success", "agreement", "diagnostics"):
+            assert replay[key] == rec[key], key
+
+    def test_recover_runs_the_harness_path_once(self, planted_files, capsys, monkeypatch):
+        calls = {"split_graph": 0, "sdp_solve": 0}
+
+        def counting(name):
+            original = getattr(sbmx.harness, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(sbmx.harness, name, counting(name))
+        gpath, lpath = planted_files
+        for method in ("two-phase", "sdp"):
+            code, _, err = run_cli(
+                capsys, "recover", "--method", method, "--graph", str(gpath), "--labels", str(lpath)
+            )
+            assert code == 0, err
+        assert calls == {"split_graph": 1, "sdp_solve": 1}
 
 
 class TestTail:
@@ -206,6 +296,20 @@ class TestSweeps:
         lines = out_path.read_text().strip().split("\n")
         assert lines[0] == "alpha,beta,trials,successes,rate"
         assert len(lines) == 5  # 2 alphas x 2 betas
+
+    def test_two_phase_no_signal_cell_counts_as_failures(self, tmp_path, capsys):
+        # alpha = beta = 0 leaves G1 empty: those trials fail, the sweep goes on
+        out_path = tmp_path / "p.csv"
+        code, _, err = run_cli(
+            capsys,
+            "phase", "--method", "two-phase", "--n", "20",
+            "--alpha", "0:4:2", "--beta", "0:0:1",
+            "--trials", "5", "--seed", "1", "--out", str(out_path),
+        )
+        assert code == 0, err
+        rows = out_path.read_text().strip().split("\n")[1:]
+        assert len(rows) == 3
+        assert rows[0] == "0.0,0.0,5,0,0.0"
 
     def test_curves_csv(self, tmp_path, capsys):
         out_path = tmp_path / "curves.csv"

@@ -11,9 +11,10 @@ from sbmx.harness import (
     format_curves_csv,
     format_phase_csv,
     phase_diagram,
+    recover,
     run_trial,
 )
-from sbmx.model import SbmParams
+from sbmx.model import Graph, SbmParams, generate_sbm
 from sbmx.seeding import derive_seed, mix64
 from sbmx.tails import recovery_threshold
 
@@ -83,6 +84,29 @@ class TestRunTrial:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             run_trial("guess", SbmParams(16, 4, 1), 0, 0)
+
+
+class TestRecover:
+    def test_without_truth_only_labels(self):
+        g, truth = generate_sbm(SbmParams(300, 20, 2), 4)
+        out = recover("two-phase", g, None, 4)
+        assert out.success is None and out.agreement is None
+        assert out.diagnostics["oracle_agreement"] is None
+        assert np.array_equal(out.labels, recover("two-phase", g, truth, 4).labels)
+
+    def test_empty_g1_fails_the_trial(self):
+        empty = Graph(20, np.empty((0, 2), dtype=np.int64))
+        truth = np.repeat(np.array([1, -1], dtype=np.int8), 10)
+        for given, success in ((truth, False), (None, None)):
+            out = recover("two-phase", empty, given, 1)
+            assert out.labels is None and out.agreement is None
+            assert out.success is success
+            assert "nonempty" in out.diagnostics["oracle_failure"]
+
+    def test_unknown_oracle(self):
+        g, truth = generate_sbm(SbmParams(20, 4, 1), 1)
+        with pytest.raises(ValueError, match="unknown oracle"):
+            recover("two-phase", g, truth, oracle="guess")
 
 
 class TestPhaseDiagram:

@@ -10,7 +10,7 @@ from sbmx.mlexact import (
     node_majority_failure,
     subset_degrees_bounded,
 )
-from sbmx.model import Graph, SbmParams, agreement, cut_size, generate_sbm
+from sbmx.model import Graph, SbmParams, agreement, cut_size, degree_split, generate_sbm
 from sbmx.seeding import derive_seed
 
 TRIANGLE = Graph(4, [(0, 1), (0, 2), (1, 2)])
@@ -128,6 +128,28 @@ class TestTwoSidedFailureForcesTie:
 
 
 class TestEventProbabilities:
+    @pytest.mark.parametrize(
+        "n, alpha, beta, seed", [(16, 1, 0.5, 2), (40, 2, 0.5, 5), (40, 3, 0.5, 5), (100, 2.5, 0.5, 7)]
+    )
+    def test_majority_event_matches_per_node_loop(self, n, alpha, beta, seed):
+        # the event comes from one degree_split per graph; per vertex it must
+        # equal node_majority_failure, and its rate the per-node loop over the
+        # + side, on the same seeded graphs (sparse enough to hold isolated
+        # vertices)
+        params = SbmParams(n, alpha, beta)
+        trials = 30
+        rates = estimate_event_probabilities(params, trials=trials, seed=seed)
+        failures = isolated = 0
+        for t in range(trials):
+            g, truth = generate_sbm(params, derive_seed(seed, t))
+            within, cross = degree_split(g, truth)
+            per_node = [node_majority_failure(g, truth, i) for i in range(n)]
+            assert np.array_equal(cross > within, per_node)
+            isolated += int(np.count_nonzero(g.degrees() == 0))
+            failures += any(per_node[i] for i in np.flatnonzero(truth == 1))
+        assert isolated > 0
+        assert rates.majority_failure_rate == failures / trials
+
     def test_implication_never_violated(self):
         rates = estimate_event_probabilities(SbmParams(16, 4, 1), trials=150, seed=7)
         assert rates.implication_violations == 0

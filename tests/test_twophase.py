@@ -7,19 +7,20 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbmx.harness import recover
 from sbmx.mlexact import node_majority_failure
 from sbmx.model import Graph, SbmParams, agreement, balance_repair, generate_sbm, is_balanced
 from sbmx.sdp import ConvergenceError
 from sbmx.seeding import derive_seed
 from sbmx.twophase import (
     CheatingOracle,
+    DegenerateOracleError,
     SpectralOracle,
     SplitConfig,
     local_improvement,
     pair_membership,
     partial_recovery,
     split_graph,
-    two_phase_recover,
 )
 
 
@@ -154,7 +155,7 @@ class TestSpectralOracle:
         assert agreement(out, truth) == 1.0
 
     def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateOracleError):
             partial_recovery(Graph(10, np.empty((0, 2))), SpectralOracle())
 
     def test_output_balanced_on_sbm(self):
@@ -254,7 +255,7 @@ class TestSpectralOracleTiny:
 
     def test_trimmed_star_without_kept_edges_rejected(self):
         g = Graph(22, [(0, v) for v in range(1, 21)])
-        with pytest.raises(ValueError, match="degenerate spectral direction"):
+        with pytest.raises(DegenerateOracleError, match="degenerate spectral direction"):
             partial_recovery(g, SpectralOracle())
         assert is_balanced(partial_recovery(g, SpectralOracle(trim=False)))
 
@@ -287,25 +288,15 @@ class TestLocalImprovement:
         assert np.array_equal(out, labels)
 
     def test_unequal_marks_keep_labels(self):
-        # two marks on the + side, none on the - side
         labels = np.array([1, 1, 1, -1, -1, -1], dtype=np.int8)
-        g = Graph(6, [(0, 3), (0, 4), (1, 4), (1, 5)])
-        out = local_improvement(g, labels)
-        assert np.array_equal(out, labels)
-
-    def test_unbalanced_subset_option(self):
-        # marks: vertices 0 and 1 on the + side (margins 2 and 1), vertex 4
-        # on the - side; plain mode keeps everything, subset mode flips the
-        # strongest mark per side (0 and 4)
-        labels = np.array([1, 1, 1, -1, -1, -1], dtype=np.int8)
-        g = Graph(6, [(0, 3), (0, 4), (1, 4), (3, 5)])
-        plain = local_improvement(g, labels)
-        assert np.array_equal(plain, labels)
-        sub = local_improvement(g, labels, allow_unbalanced_subset=True)
-        expected = labels.copy()
-        expected[0], expected[4] = -1, 1
-        assert np.array_equal(sub, expected)
-        assert is_balanced(sub)
+        for edges in (
+            # two marks on the + side, none on the - side
+            [(0, 3), (0, 4), (1, 4), (1, 5)],
+            # two marks on the + side (vertices 0 and 1), one on the - side (4)
+            [(0, 3), (0, 4), (1, 4), (3, 5)],
+        ):
+            out = local_improvement(Graph(6, edges), labels)
+            assert np.array_equal(out, labels)
 
     def test_rejects_unbalanced_labels(self):
         g = Graph(4, [(0, 1)])
@@ -337,13 +328,10 @@ class TestPipeline:
             g, truth = generate_sbm(SbmParams(30, 5, 0.5), derive_seed(3, seed))
             if any(node_majority_failure(g, truth, i) for i in range(g.n)):
                 continue
-            out = two_phase_recover(
-                g,
-                SplitConfig(c=0.0, seed=seed),
-                CheatingOracle(corruption=0.0, seed=seed),
-                truth,
+            out = recover(
+                "two-phase", g, truth, seed, split_c=0.0, oracle="cheating", oracle_delta=0.0
             )
-            assert np.array_equal(out, truth)
+            assert np.array_equal(out.labels, truth)
 
     def test_cheating_pipeline_recovers_above_threshold(self):
         # companion to the acceptance gate: same (n, alpha, beta, deltaC) but
@@ -353,13 +341,10 @@ class TestPipeline:
         for t in range(20):
             seed = derive_seed(2025, t)
             g, truth = generate_sbm(params, seed)
-            out = two_phase_recover(
-                g,
-                SplitConfig(c=1.0, seed=derive_seed(seed, 1)),
-                CheatingOracle(corruption=0.1, seed=derive_seed(seed, 2)),
-                truth,
+            out = recover(
+                "two-phase", g, truth, seed, split_c=1.0, oracle="cheating", oracle_delta=0.1
             )
-            successes += agreement(out, truth) == 1.0
+            successes += out.success
         assert successes >= 17
 
     def test_no_signal_never_recovers(self):
@@ -369,15 +354,11 @@ class TestPipeline:
         for t in range(10):
             seed = derive_seed(99, t)
             g, truth = generate_sbm(params, seed)
-            out = two_phase_recover(
-                g,
-                SplitConfig(c=1.0, seed=derive_seed(seed, 1)),
-                CheatingOracle(corruption=0.1, seed=derive_seed(seed, 2)),
-                truth,
+            out = recover(
+                "two-phase", g, truth, seed, split_c=1.0, oracle="cheating", oracle_delta=0.1
             )
-            agr = agreement(out, truth)
-            agreements.append(agr)
-            exact += agr == 1.0
+            agreements.append(out.agreement)
+            exact += out.agreement == 1.0
         assert exact == 0
         assert np.mean(agreements) < 0.95
 
@@ -392,18 +373,10 @@ class TestPipeline:
             for t in range(30):
                 seed = derive_seed(31, t)
                 g, truth = generate_sbm(params, seed)
-                out = two_phase_recover(
-                    g,
-                    SplitConfig(c=1.5, seed=derive_seed(seed, 1)),
-                    CheatingOracle(corruption=delta, seed=derive_seed(seed, 2)),
-                    truth,
+                out = recover(
+                    "two-phase", g, truth, seed, split_c=1.5, oracle="cheating", oracle_delta=delta
                 )
-                vals.append(agreement(out, truth))
+                vals.append(out.agreement)
             means.append(float(np.mean(vals)))
         noise = 0.02
         assert all(a >= b - noise for a, b in zip(means, means[1:])), means
-
-    def test_rounds_must_be_positive(self):
-        g, truth = generate_sbm(SbmParams(20, 3, 1), 0)
-        with pytest.raises(ValueError):
-            two_phase_recover(g, SplitConfig(c=0, seed=0), CheatingOracle(0.0, 0), truth, rounds=0)

@@ -288,15 +288,21 @@ class TestLocalImprovement:
         assert np.array_equal(out, labels)
 
     def test_unequal_marks_keep_labels(self):
+        # two marks on the + side, none on the - side
         labels = np.array([1, 1, 1, -1, -1, -1], dtype=np.int8)
-        for edges in (
-            # two marks on the + side, none on the - side
-            [(0, 3), (0, 4), (1, 4), (1, 5)],
-            # two marks on the + side (vertices 0 and 1), one on the - side (4)
-            [(0, 3), (0, 4), (1, 4), (3, 5)],
-        ):
-            out = local_improvement(Graph(6, edges), labels)
-            assert np.array_equal(out, labels)
+        g = Graph(6, [(0, 3), (0, 4), (1, 4), (1, 5)])
+        out = local_improvement(g, labels)
+        assert np.array_equal(out, labels)
+
+    def test_unbalanced_subset_option(self):
+        # marks: vertices 0 and 1 on the + side (margins 2 and 1), vertex 4
+        # on the - side; a balanced subset of the marks (0 and 4) exists, but
+        # the flip is all-or-nothing, so the labels stay as they are
+        labels = np.array([1, 1, 1, -1, -1, -1], dtype=np.int8)
+        g = Graph(6, [(0, 3), (0, 4), (1, 4), (3, 5)])
+        out = local_improvement(g, labels)
+        assert np.array_equal(out, labels)
+        assert is_balanced(out)
 
     def test_rejects_unbalanced_labels(self):
         g = Graph(4, [(0, 1)])

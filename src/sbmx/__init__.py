@@ -18,9 +18,7 @@ from .tails import (
     ExponentInputs,
     TailResult,
     ThresholdVerdict,
-    bernstein_scalar_upper,
     chernoff_multiplicative_upper,
-    chernoff_weak_upper,
     diff_binomial_tail,
     dominant_tilt,
     log_dominant_term,

@@ -237,6 +237,10 @@ def phase_diagram(
     Deterministic for fixed (base_seed, grids): trial seeds depend only on
     the flat grid index and trial index, never on scheduling.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     alphas = [float(a) for a in alpha_grid]
     betas = [float(b) for b in beta_grid]
     if not alphas or not betas:

@@ -40,8 +40,6 @@ __all__ = [
     "log_dominant_term_max",
     "ml_failure_upper_bound",
     "chernoff_multiplicative_upper",
-    "chernoff_weak_upper",
-    "bernstein_scalar_upper",
     "mislabel_exponent",
 ]
 
@@ -431,28 +429,6 @@ def chernoff_multiplicative_upper(mu: float, t: float) -> float:
     if t < 1:
         raise ValueError("t must be at least 1")
     return math.exp(mu * (t - 1.0 - t * math.log(t)))
-
-
-def chernoff_weak_upper(mu: float, t: float) -> float:
-    """Weaker form (t/e)^(-t*mu) of the multiplicative Chernoff bound."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    return math.exp(-t * mu * (math.log(t) - 1.0))
-
-
-def bernstein_scalar_upper(sigma2: float, R: float, t: float) -> float:
-    """Scalar Bernstein bound exp(-(t^2/2) / (sigma^2 + R*t/3))."""
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be nonnegative")
-    if R <= 0:
-        raise ValueError("R must be positive")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        return 1.0
-    return math.exp(-(t * t / 2.0) / (sigma2 + R * t / 3.0))
 
 
 def mislabel_exponent(alpha: float, beta: float, delta_c: float) -> float:

@@ -311,6 +311,28 @@ class TestSweeps:
         assert len(rows) == 3
         assert rows[0] == "0.0,0.0,5,0,0.0"
 
+    @pytest.mark.parametrize(
+        "trials, workers, message",
+        [("0", "1", "trials must be at least 1, got 0"), ("2", "0", "workers must be at least 1, got 0")],
+    )
+    def test_phase_nonpositive_count_exit_2(
+        self, trials, workers, message, tmp_path, capsys, monkeypatch
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(sbmx.harness, "ProcessPoolExecutor", no_pool)
+        out_path = tmp_path / "p.csv"
+        code, _, err = run_cli(
+            capsys,
+            "phase", "--method", "certificate", "--n", "20",
+            "--alpha", "4:4:1", "--beta", "1:1:1", "--trials", trials, "--workers", workers,
+            "--seed", "1", "--out", str(out_path),
+        )
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert not out_path.exists()
+
     def test_curves_csv(self, tmp_path, capsys):
         out_path = tmp_path / "curves.csv"
         code, _, _ = run_cli(capsys, "curves", "--beta", "0:10:1", "--out", str(out_path))

@@ -1,9 +1,14 @@
+import itertools
 import math
+import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from sbmx.mlexact import (
+    ML_MAX_N,
+    MlResult,
     cross_margin_event,
     estimate_event_probabilities,
     ml_bisection,
@@ -16,6 +21,40 @@ from sbmx.seeding import derive_seed
 TRIANGLE = Graph(4, [(0, 1), (0, 2), (1, 2)])
 K4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 PATH4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+
+
+@lru_cache(maxsize=2)
+def _reference_masks(n):
+    # all +1 sides containing vertex 0, as bitmasks in lexicographic order
+    masks = [
+        1 | sum(1 << v for v in combo)
+        for combo in itertools.combinations(range(1, n), n // 2 - 1)
+    ]
+    return np.array(masks, dtype=np.uint32)
+
+
+def reference_ml_bisection(g):
+    """Reference for the bit-plane kernel: the per-edge uint32 bitmask loop."""
+    n = g.n
+    masks = _reference_masks(n)
+    cuts = np.zeros(masks.shape[0], dtype=np.int32)
+    for u, v in g.edges:
+        cuts += (((masks >> int(u)) ^ (masks >> int(v))) & 1).astype(np.int32)
+    min_cut = int(cuts.min())
+    optima = int(np.count_nonzero(cuts == min_cut))
+    best_mask = int(masks[int(np.argmax(cuts == min_cut))])
+    labels = np.array(
+        [1 if (best_mask >> v) & 1 else -1 for v in range(n)], dtype=np.int8
+    )
+    return MlResult(best=labels, min_cut=min_cut, unique=optima == 1, optima_count=optima)
+
+
+def assert_same_result(got, want):
+    assert got.best.dtype == want.best.dtype
+    assert np.array_equal(got.best, want.best)
+    assert type(got.min_cut) is int and got.min_cut == want.min_cut
+    assert got.unique == want.unique
+    assert type(got.optima_count) is int and got.optima_count == want.optima_count
 
 
 class TestMlBisection:
@@ -57,6 +96,59 @@ class TestMlBisection:
             assert res.min_cut == cut
             assert res.optima_count == optima
             assert agreement(res.best, labels) == 1.0
+
+
+class TestBitPlaneKernel:
+    @pytest.mark.parametrize("n", range(4, 23, 2))
+    def test_matches_reference(self, n):
+        # alpha up to the largest feasible value n / log n at this n
+        top = n / math.log(n)
+        graphs = [
+            Graph(n, np.empty((0, 2))),
+            Graph(n, list(itertools.combinations(range(n), 2))),
+            generate_sbm(SbmParams(n, 0.5 * top, 0.5 * top), 1)[0],
+        ]
+        for seed in range(3):
+            for a, b in ((0.9, 0.1), (0.6, 0.3), (0.3, 0.0)):
+                graphs.append(generate_sbm(SbmParams(n, a * top, b * top), seed)[0])
+        for g in graphs:
+            assert_same_result(ml_bisection(g), reference_ml_bisection(g))
+
+    @pytest.mark.parametrize("alpha", [3, 4, 5, 6, 7])
+    def test_matches_reference_on_bench_cells(self, alpha):
+        for beta in (0.5, 1.0, 2.0):
+            g, _ = generate_sbm(SbmParams(22, alpha, beta), derive_seed(30, alpha))
+            assert_same_result(ml_bisection(g), reference_ml_bisection(g))
+
+    def test_uint8_cuts_cannot_wrap(self):
+        # the kernel accumulates cuts in uint8; a bisection of n vertices
+        # cuts at most (n/2)^2 edges, so raising ML_MAX_N to 32 or more needs
+        # a wider accumulator
+        assert (ML_MAX_N // 2) ** 2 <= np.iinfo(np.uint8).max
+
+    def test_k24_closed_form(self):
+        # the densest graph within the budget, m = 276 > 255 edges: every
+        # bisection of K24 cuts 12 * 12 = 144 of them, so all comb(23, 11)
+        # sides tie and the first in lexicographic order is {0, ..., 11}
+        k24 = Graph(24, list(itertools.combinations(range(24), 2)))
+        res = ml_bisection(k24)
+        assert k24.m == 276
+        assert res.min_cut == 144
+        assert res.optima_count == math.comb(23, 11) == 1352078
+        assert not res.unique
+        assert res.best.dtype == np.int8
+        assert np.array_equal(res.best, [1] * 12 + [-1] * 12)
+
+    def test_call_memory_with_warm_cache(self):
+        g, _ = generate_sbm(SbmParams(22, 7, 2), 5)
+        ml_bisection(g)  # fills the partition cache
+        tracemalloc.start()
+        try:
+            ml_bisection(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestNodeMajorityFailure:

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from sbmx.tails import (
     ExponentInputs,
-    bernstein_scalar_upper,
     chernoff_multiplicative_upper,
-    chernoff_weak_upper,
     diff_binomial_tail,
     dominant_tilt,
     log_dominant_term,
@@ -313,21 +311,9 @@ class TestScalarBounds:
     def test_chernoff_at_two(self):
         assert chernoff_multiplicative_upper(1.0, 2.0) == pytest.approx(math.e / 4)
 
-    def test_chernoff_weak_form_is_weaker(self):
-        for t in (1.5, 2.0, 5.0):
-            assert chernoff_weak_upper(2.0, t) >= chernoff_multiplicative_upper(2.0, t)
-
     def test_chernoff_rejects_t_below_one(self):
         with pytest.raises(ValueError):
             chernoff_multiplicative_upper(1.0, 0.5)
-
-    def test_bernstein_values(self):
-        assert bernstein_scalar_upper(1, 1, 0) == 1.0
-        assert bernstein_scalar_upper(1, 1, 1) == pytest.approx(math.exp(-0.375))
-
-    def test_bernstein_nonincreasing(self):
-        vals = [bernstein_scalar_upper(1, 1, t) for t in (0, 1, 2)]
-        assert vals[0] >= vals[1] >= vals[2]
 
 
 class TestMislabelExponent:
